@@ -6,8 +6,9 @@
 //! small cycled set, sharing nothing between queries; serving and
 //! inference are idle. On `cold_bel` the graphs are memory-mapped `.bel`
 //! files and triangle counting does almost all the work; on `cold_text`
-//! they are smaller text edge lists, so parsing (`io::read_edge_list`) and
-//! the CSR and degree builds over an owned graph take a large share.
+//! they are text edge lists of the same sizes, so parsing
+//! (`io::read_edge_list`) and the CSR and degree builds over an owned
+//! graph take a large share.
 
 use crate::layers::{self, Ask, Kernel, Stack};
 use crate::report::{Kind, Report};
@@ -26,15 +27,25 @@ pub struct Shape {
     workload: &'static str,
     /// File extension: `bel` (memory-mapped) or `txt` (parsed).
     ext: &'static str,
-    vertices: usize,
-    edges: usize,
-    graphs: usize,
+    /// `(|V|, |E|)` of each graph, in the order the loop cycles them.
+    graphs: &'static [(usize, usize)],
 }
 
-pub const BEL: Shape =
-    Shape { workload: "cold_bel", ext: "bel", vertices: 1 << 16, edges: 400_000, graphs: 4 };
-pub const TEXT: Shape =
-    Shape { workload: "cold_text", ext: "txt", vertices: 1 << 16, edges: 400_000, graphs: 3 };
+/// Four graphs of one size and one twice as large. With one size only,
+/// every query would cost the same and the p90 would sit on the edge of
+/// the host's slow spells, moving with how many of them a run caught. With
+/// a fifth of the queries large, the p90 reads the middle of the large
+/// queries' latencies and the p50 the middle of the others'.
+const MIX: [(usize, usize); 5] = [
+    (1 << 16, 400_000),
+    (1 << 16, 400_000),
+    (1 << 16, 400_000),
+    (1 << 16, 400_000),
+    (1 << 17, 800_000),
+];
+
+pub const BEL: Shape = Shape { workload: "cold_bel", ext: "bel", graphs: &MIX };
+pub const TEXT: Shape = Shape { workload: "cold_text", ext: "txt", graphs: &MIX };
 /// p90 is supported from 100 samples; a run keeps going past `--seconds`
 /// until it has these many, within [`HARD_CAP`].
 const MIN_SAMPLES: usize = 110;
@@ -56,7 +67,7 @@ fn run(shape: &Shape, args: &Args, work: &WorkDir, report: &mut Report) -> Res<(
     })?;
     let model = dir.join("ease.model");
     let trained = ease::EaseService::load(&model)?.supported_workloads();
-    let asks: Vec<Ask> = (0..shape.graphs)
+    let asks: Vec<Ask> = (0..shape.graphs.len())
         .map(|i| Ask {
             graph: dir.join(format!("cold{i}.{}", shape.ext)).to_string_lossy().into_owned(),
             workload: Workload::from_name(trained[(i + seed as usize) % trained.len()])
@@ -68,10 +79,12 @@ fn run(shape: &Shape, args: &Args, work: &WorkDir, report: &mut Report) -> Res<(
     report.phase("reference", asks.len() as u64, 0, false);
     report.param(
         "cold.graphs",
-        format!(
-            "{} x R-MAT C6 |V|={} |E|={} (.{})",
-            shape.graphs, shape.vertices, shape.edges, shape.ext
-        ),
+        shape
+            .graphs
+            .iter()
+            .map(|(v, e)| format!("R-MAT C6 |V|={v} |E|={e} (.{})", shape.ext))
+            .collect::<Vec<_>>()
+            .join(", "),
     );
     report.param("cold.clients", "1 (closed loop)");
     report.param("setup_s.reps", format!("{setup_secs:?}"));
@@ -209,9 +222,9 @@ fn run(shape: &Shape, args: &Args, work: &WorkDir, report: &mut Report) -> Res<(
 
 /// A cold workload's inputs: its R-MAT files.
 pub fn inputs(shape: &Shape, dir: &Path, seed: u64) -> Res<()> {
-    for i in 0..shape.graphs {
+    for (i, &(vertices, edges)) in shape.graphs.iter().enumerate() {
         let path = dir.join(format!("cold{i}.{}", shape.ext));
-        setup::rmat_file(&path, shape.vertices, shape.edges, graph_seed(seed, i))?;
+        setup::rmat_file(&path, vertices, edges, graph_seed(seed, i))?;
     }
     Ok(())
 }
